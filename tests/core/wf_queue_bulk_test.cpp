@@ -170,6 +170,11 @@ TEST(WfBulk, MpmcMixedBulkAndSingle) {
       mine.reserve(total / kConsumers + 64);
       std::vector<uint64_t> out(32);
       while (consumed.load(std::memory_order_relaxed) < total) {
+        // Flag before dequeue: a dequeue begun after the producers finished
+        // that returns nothing (a bulk dequeue's short count of 0 is its
+        // emptiness witness) proves the queue drained, so a lost value
+        // fails the count assertion below instead of spinning forever.
+        const bool was_done = producers_done.load(std::memory_order_acquire);
         std::size_t got;
         if (rng() % 4 == 0) {
           auto v = q.dequeue(h);
@@ -181,8 +186,7 @@ TEST(WfBulk, MpmcMixedBulkAndSingle) {
         if (got > 0) {
           mine.insert(mine.end(), out.begin(), out.begin() + got);
           consumed.fetch_add(got, std::memory_order_relaxed);
-        } else if (producers_done.load(std::memory_order_acquire) &&
-                   consumed.load(std::memory_order_relaxed) >= total) {
+        } else if (was_done) {
           break;
         }
       }

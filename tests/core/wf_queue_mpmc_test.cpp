@@ -61,12 +61,15 @@ void run_mpmc(const MpmcParam& p) {
       auto& mine = consumed_by[ci];
       mine.reserve(total / p.consumers + 16);
       while (consumed.load(std::memory_order_relaxed) < total) {
+        // Flag before dequeue: an EMPTY from a dequeue begun after the
+        // producers finished proves the queue drained, so a lost value
+        // fails the count assertion below instead of spinning forever.
+        const bool was_done = producers_done.load(std::memory_order_acquire);
         auto v = q.dequeue(h);
         if (v.has_value()) {
           mine.push_back(*v);
           consumed.fetch_add(1, std::memory_order_relaxed);
-        } else if (producers_done.load(std::memory_order_acquire) &&
-                   consumed.load(std::memory_order_relaxed) >= total) {
+        } else if (was_done) {
           break;
         }
       }

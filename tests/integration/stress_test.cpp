@@ -82,12 +82,15 @@ TEST(Stress, WfQueueBoxedStringsConcurrent) {
       auto h = q.get_handle();
       uint64_t local = 0;
       while (consumed.load() < kProducers * kPerProducer) {
+        // Flag before dequeue: an EMPTY from a dequeue begun after the
+        // producers finished proves the queue drained, so a lost value
+        // fails the count check below instead of spinning forever.
+        const bool was_done = done.load();
         auto v = q.dequeue(h);
         if (v.has_value()) {
           for (char ch : *v) local += uint8_t(ch);
           consumed.fetch_add(1);
-        } else if (done.load() &&
-                   consumed.load() >= kProducers * kPerProducer) {
+        } else if (was_done) {
           break;
         }
       }
