@@ -153,10 +153,19 @@ class LCRQ {
         return Codec::decode(val);
       }
       // This CRQ observed empty. Without a successor, the queue is empty;
-      // with one, the CRQ is closed and drained — retire it and move on.
+      // with one, the CRQ is closed — retire it and move on once drained.
       if (crq->next->load(std::memory_order_acquire) == nullptr) {
         hp_.clear(h.rec_, 0);
         return std::nullopt;
+      }
+      // A successor exists, so the CRQ is closed, but values enqueued after
+      // our empty observation and before the close may still be in it: look
+      // again before leaving it. A closed CRQ hands out no new enqueue
+      // indices, so an empty result now means every index left in it has
+      // a dequeuer.
+      if (crq_dequeue(crq, val)) {
+        hp_.clear(h.rec_, 0);
+        return Codec::decode(val);
       }
       CRQ* expected = crq;
       if (head_->compare_exchange_strong(expected,
